@@ -47,15 +47,18 @@ class BuildPool:
 
     ``precompiler`` is the evaluator's ``precompile`` method (or None, which
     disables the pool — every method degenerates to a no-op, the serial
-    behavior). The executor is created lazily on first submit and torn down
+    behavior). ``forget``, when given, is called with the parameters of
+    every build the pool discards, so the evaluator can drop what it built
+    for them. The executor is created lazily on first submit and torn down
     by :meth:`close`.
     """
 
-    def __init__(self, precompiler, jobs: int) -> None:
+    def __init__(self, precompiler, jobs: int, forget=None) -> None:
         if jobs < 1:
             raise TuningError(f"build pool jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self._precompiler = precompiler
+        self._forget = forget
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._futures: dict[bytes, Future] = {}
@@ -150,6 +153,11 @@ class BuildPool:
         for config in configs:
             with self._lock:
                 self._futures.pop(config_key(config), None)
+            self._forget_built(config)
+
+    def _forget_built(self, config: Any) -> None:
+        if self._forget is not None:
+            self._forget(_params(config))
 
     def score_speculation(self, speculated: Iterable[Any], actual: Iterable[Any]) -> None:
         """Compare a speculative wave against the real ask that followed.
@@ -160,11 +168,14 @@ class BuildPool:
         for config in speculated:
             key = config_key(config)
             with self._lock:
-                if key in actual_keys:
+                hit = key in actual_keys
+                if hit:
                     self.spec_hits += 1
                 else:
                     self._futures.pop(key, None)
                     self.spec_misses += 1
+            if not hit:
+                self._forget_built(config)
 
     @property
     def hit_rate(self) -> float:

@@ -49,7 +49,9 @@ def run_pipelined(search, cfg: PipelineConfig):
     clock = getattr(evaluator, "clock", None)
     precompiler = getattr(evaluator, "precompile", None)
     pool = BuildPool(
-        precompiler if callable(precompiler) else None, cfg.resolved_jobs()
+        precompiler if callable(precompiler) else None,
+        cfg.resolved_jobs(),
+        forget=getattr(evaluator, "discard_precompiled", None),
     )
     queue = OrderedTellQueue()
     # Optimizers without a speculation protocol (e.g. TPE) still pipeline

@@ -13,7 +13,9 @@ The cached artifact is the lowered PrimFunc rather than the executable
 trees, so they can cross process boundaries to the worker pool, while the
 generated-code entry point of a Module cannot. Rehydrating a Module from a
 cached PrimFunc (:func:`repro.runtime.module.build_from_primfunc`) skips the
-lower/simplify pipeline — the dominant compile cost.
+lower/simplify pipeline. That pipeline dominates compile time on the Python
+tiers; on the native tier the C compiler subprocess does, and its output is
+cached separately, on disk, by source hash.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ x-axis) is produced identically for real and simulated measurement.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -25,6 +27,7 @@ from repro.common.errors import ReproError
 from repro.common.rng import ensure_rng
 from repro.te.schedule import Schedule
 from repro.te.tensor import Tensor
+from repro.runtime.build_cache import schedule_key
 from repro.runtime.module import build
 from repro.telemetry.context import get_telemetry
 
@@ -121,7 +124,16 @@ class LocalEvaluator(Evaluator):
     (never in :meth:`precompile`), so pipelined runs can genuinely hide
     compile and surrogate work behind it — which is exactly what the real
     cluster setting allows.
+
+    A module built by :meth:`precompile` is handed to the next
+    :meth:`evaluate` of the same configuration, which then skips the
+    builder, lowering and C emission altogether. At most
+    ``PRECOMPILED_CAP`` modules wait (the oldest are dropped first), and
+    :meth:`discard_precompiled` drops those of trials that will not be
+    measured.
     """
+
+    PRECOMPILED_CAP = 64
 
     def __init__(
         self,
@@ -147,6 +159,8 @@ class LocalEvaluator(Evaluator):
         self.backend = backend
         self.dispatch_latency = dispatch_latency
         self._start = time.perf_counter()
+        self._precompiled: OrderedDict[str, tuple] = OrderedDict()
+        self._precompiled_lock = threading.Lock()
 
     def elapsed(self) -> float:
         return time.perf_counter() - self._start
@@ -154,23 +168,35 @@ class LocalEvaluator(Evaluator):
     def precompile(self, params: Mapping[str, int]) -> bool:
         """Build the kernel for ``params`` without running it (compile-ahead).
 
-        Warms every content-addressed build cache on the way down — for the
-        native tier the expensive subprocess C compile lands in the on-disk
-        ``.so`` store and the process-wide entry cache, so the build step of a
-        later :meth:`evaluate` of the same configuration degenerates to a
-        cache hit. Safe to call from the pipelined engine's build-pool
-        threads: the underlying caches are lock-protected and ``.so``
-        publication is atomic. Returns True when the build succeeded; a
-        failing build returns False and is otherwise swallowed — ``evaluate``
-        will reproduce the failure and record it as the trial's result.
+        The built module waits for the next :meth:`evaluate` of the same
+        configuration, and every content-addressed build cache is warmed on
+        the way down (for the native tier, the on-disk ``.so`` store and the
+        process-wide entry cache). Safe to call from the pipelined engine's
+        build-pool threads: the handoff and the caches are lock-protected
+        and ``.so`` publication is atomic. Returns True when the build
+        succeeded; a failing build returns False and is otherwise swallowed
+        — ``evaluate`` will reproduce the failure and record it as the
+        trial's result.
         """
         cfg = {k: int(v) for k, v in params.items()}
         try:
             sched, args = self.builder(cfg)
-            build(sched, args, target=self.target, backend=self.backend)
+            mod = build(sched, args, target=self.target, backend=self.backend)
         except Exception:  # noqa: BLE001 — ahead-of-time builds never raise
             return False
+        key = schedule_key(cfg)
+        with self._precompiled_lock:
+            self._precompiled[key] = (args, mod)
+            self._precompiled.move_to_end(key)
+            while len(self._precompiled) > self.PRECOMPILED_CAP:
+                self._precompiled.popitem(last=False)
         return True
+
+    def discard_precompiled(self, params: Mapping[str, int]) -> None:
+        """Drop the module :meth:`precompile` built for ``params``, if any
+        (a pruned trial or a missed speculation will never be measured)."""
+        with self._precompiled_lock:
+            self._precompiled.pop(schedule_key(params), None)
 
     def evaluate(self, params: Mapping[str, int]) -> MeasureResult:
         tel = get_telemetry()
@@ -178,10 +204,15 @@ class LocalEvaluator(Evaluator):
         if self.dispatch_latency > 0:
             time.sleep(self.dispatch_latency)  # emulated job round trip
         t0 = time.perf_counter()
+        with self._precompiled_lock:
+            built = self._precompiled.pop(schedule_key(cfg), None)
         try:
             with tel.span("compile"):
-                sched, args = self.builder(cfg)
-                mod = build(sched, args, target=self.target, backend=self.backend)
+                if built is not None:
+                    args, mod = built
+                else:
+                    sched, args = self.builder(cfg)
+                    mod = build(sched, args, target=self.target, backend=self.backend)
         except Exception as exc:  # noqa: BLE001 — any builder/compile failure
             # must become a failed MeasureResult, not kill the whole search;
             # kernels and user builders raise plain Exceptions, not just

@@ -321,7 +321,8 @@ class ParallelEvaluator(Evaluator):
         """Lower ``params``'s schedule into the shared build cache ahead of
         measurement (compile-ahead). A later ``evaluate`` of the same
         configuration ships the cached PrimFunc to its worker and skips the
-        lower/simplify pipeline — the dominant compile cost. The cache is
+        lower/simplify pipeline (the costly part on the Python tiers; the
+        native tier's C compile is cached on disk instead). The cache is
         lock-protected, so build-pool threads may call this concurrently.
         Returns True when a lowered function is cached; False when caching is
         off or the build fails (``evaluate`` reproduces and records that)."""

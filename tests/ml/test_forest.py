@@ -69,3 +69,19 @@ class TestForest:
     def test_bad_data(self):
         with pytest.raises(ReproError):
             RandomForestRegressor().fit(np.zeros((3, 2)), np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, data, bad):
+        X, y = data
+        X = X.copy()
+        X[7, 2] = bad
+        with pytest.raises(ReproError, match="X contains NaN or inf"):
+            RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_targets_rejected(self, data, bad):
+        X, y = data
+        y = y.copy()
+        y[0] = bad
+        with pytest.raises(ReproError, match="y contains NaN or inf"):
+            RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ReproError
 from repro.ml import DecisionTreeRegressor
+from tests.ml.reference import best_split
 
 
 class TestFitBasics:
@@ -97,9 +98,23 @@ class TestValidation:
         with pytest.raises(ReproError):
             DecisionTreeRegressor(max_features=3.5).fit(X, y)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.random.default_rng(0).random((6, 2))
+        X[3, 1] = bad
+        with pytest.raises(ReproError, match="X contains NaN or inf"):
+            DecisionTreeRegressor().fit(X, np.arange(6.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        y = np.arange(6.0)
+        y[2] = bad
+        with pytest.raises(ReproError, match="y contains NaN or inf"):
+            DecisionTreeRegressor().fit(np.random.default_rng(0).random((6, 2)), y)
+
 
 class TestBestSplitsParity:
-    """`_best_splits` (column-parallel) vs `_best_split` (per-feature oracle).
+    """`_best_splits` (column-parallel) vs `best_split` (per-feature oracle).
 
     The vectorized pass claims bit-identical scores — assert exact float
     equality, not allclose, across random data, duplicate-heavy columns,
@@ -113,7 +128,7 @@ class TestBestSplitsParity:
         total_sse = float(((y - m) ** 2).sum())
         gains, thresholds = t._best_splits(X, y, total_sse)
         for j in range(X.shape[1]):
-            g, th = t._best_split(X[:, j], y, total_sse)
+            g, th = best_split(X[:, j], y, total_sse, msl)
             assert gains[j] == g, f"feature {j}: gain {gains[j]} != oracle {g}"
             assert thresholds[j] == th, (
                 f"feature {j}: threshold {thresholds[j]} != oracle {th}"

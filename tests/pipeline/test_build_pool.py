@@ -116,6 +116,18 @@ class TestBuildPool:
             pool.discard([{"P0": 5}])
             assert pool._futures == {}
 
+    def test_discarded_and_missed_builds_are_forgotten(self):
+        forgotten = []
+        with BuildPool(RecordingPrecompiler(), jobs=1, forget=forgotten.append) as pool:
+            pool.submit({"P0": 5})
+            pool.discard([{"P0": 5}])
+            hit, missed = {"P0": 7}, {"P0": 9}
+            pool.submit(hit, speculative=True)
+            pool.submit(missed, speculative=True)
+            pool.score_speculation([hit, missed], [hit])
+            pool.wait([hit])
+        assert forgotten == [{"P0": 5}, {"P0": 9}]
+
     def test_wait_accumulates_stall_seconds(self):
         pre = RecordingPrecompiler(delay=0.03)
         with BuildPool(pre, jobs=1) as pool:

@@ -91,3 +91,75 @@ class TestLocalEvaluator:
         )
         assert res.ok
         assert res.backend == "native"
+
+
+class TestPrecompileHandoff:
+    """A module precompile built is reused by the next evaluate of it."""
+
+    @staticmethod
+    def _count_emits(monkeypatch):
+        import importlib
+
+        codegen = importlib.import_module("repro.tir.codegen_c")
+        calls = []
+        emit = codegen.codegen_c
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return emit(*args, **kwargs)
+
+        monkeypatch.setattr(codegen, "codegen_c", counted)
+        return calls
+
+    def test_evaluate_after_precompile_emits_no_c(self, monkeypatch):
+        from repro.tir.codegen_c import NativeToolchainError, find_toolchain
+
+        try:
+            find_toolchain()
+        except NativeToolchainError:
+            pytest.skip("no C toolchain")
+        calls = self._count_emits(monkeypatch)
+        ev = LocalEvaluator(_builder, seed=0, backend="native")
+        config = {"P0": 4, "P1": 2}
+        assert ev.precompile(config)
+        emitted = len(calls)
+        res = ev.evaluate(config)
+        assert res.ok and res.backend == "native"
+        assert len(calls) == emitted  # no lowering or C emission again
+        assert ev._precompiled == {}  # the handoff is consumed
+        ev.evaluate(config)  # without a handoff the build runs again
+        assert len(calls) > emitted
+
+    def test_failed_precompile_gives_the_same_compile_error(self):
+        def flaky_builder(params):
+            if params["P0"] == 3:
+                raise ReproError("bad tile")
+            return _builder(params)
+
+        ev = LocalEvaluator(flaky_builder, seed=0)
+        assert not ev.precompile({"P0": 3, "P1": 2})
+        res = ev.evaluate({"P0": 3, "P1": 2})
+        plain = LocalEvaluator(flaky_builder, seed=0).evaluate({"P0": 3, "P1": 2})
+        assert res.error == plain.error == "compile error: bad tile"
+
+    def test_handoff_matches_a_plain_evaluate(self):
+        ev = LocalEvaluator(_builder, seed=0, validate=lambda bufs: None)
+        ev.precompile({"P1": 2, "P0": 4})  # key order does not matter
+        res = ev.evaluate({"P0": 4, "P1": 2})
+        plain = LocalEvaluator(_builder, seed=0).evaluate({"P0": 4, "P1": 2})
+        assert res.ok and plain.ok
+        assert (res.config, res.backend) == (plain.config, plain.backend)
+
+    def test_handoff_is_bounded(self):
+        ev = LocalEvaluator(_builder, seed=0)
+        ev.PRECOMPILED_CAP = 2
+        for p0 in (1, 2, 4, 8):
+            assert ev.precompile({"P0": p0, "P1": 2})
+        assert len(ev._precompiled) == 2
+
+    def test_discard_drops_the_module(self):
+        ev = LocalEvaluator(_builder, seed=0)
+        ev.precompile({"P0": 2, "P1": 2})
+        ev.discard_precompiled({"P0": 2, "P1": 2})
+        assert ev._precompiled == {}
+        assert ev.evaluate({"P0": 2, "P1": 2}).ok
