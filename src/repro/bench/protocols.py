@@ -93,11 +93,10 @@ class TunerContext:
     prune: bool = False
     prune_threshold: float = 1.25
     #: Pipelined execution (see :mod:`repro.pipeline`): overlap the surrogate
-    #: ask, a ``compile_jobs``-wide build pool with compile-ahead, and
-    #: measurement. ``refit_every`` selects the surrogate refit policy
-    #: (None = loop default; 0 = geometric schedule; 1 = every observation).
+    #: ask, a build pool with compile-ahead, and measurement. ``refit_every``
+    #: selects the surrogate refit policy (None = loop default; 0 = geometric
+    #: schedule; 1 = every observation).
     pipeline: bool = False
-    compile_jobs: "int | None" = None
     refit_every: "int | None" = None
     warm_start: Any = None
     transfer_seed: Any = None

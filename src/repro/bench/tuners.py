@@ -102,7 +102,6 @@ def _bo_config(ctx: TunerContext) -> AutotuneConfig:
         prune=ctx.prune,
         prune_threshold=ctx.prune_threshold,
         pipeline=ctx.pipeline,
-        compile_jobs=ctx.compile_jobs,
         refit_every=ctx.refit_every,
     )
 

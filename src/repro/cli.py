@@ -176,8 +176,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             transfer_bias=args.transfer_bias,
             label=args.label,
             backend=args.backend,
-            pipeline=_resolve_pipeline(args),
-            compile_jobs=args.compile_jobs,
+            pipeline=args.pipeline,
             refit_every=args.refit_every,
         )
         console.info(
@@ -445,8 +444,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "transfer_bias": args.transfer_bias,
         "label": args.label,
         "backend": args.backend,
-        "pipeline": _resolve_pipeline(args),
-        "compile_jobs": args.compile_jobs,
+        "pipeline": args.pipeline,
         "refit_every": args.refit_every,
     }
     client = _service_client(args)
@@ -568,26 +566,12 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipelined execution")
     group.add_argument("--pipeline", action="store_true",
                        help="overlap the surrogate ask, a parallel build "
-                       "pool with compile-ahead speculation, and measurement "
-                       "(implied by --compile-jobs)")
-    group.add_argument("--no-pipeline", action="store_true",
-                       help="force the serial loop even when --compile-jobs "
-                       "is given")
-    group.add_argument("--compile-jobs", type=int, default=None, metavar="N",
-                       help="build-pool width for ahead-of-time native "
-                       "compiles (default: CPU count); implies --pipeline")
+                       "pool with compile-ahead speculation, and measurement")
     group.add_argument("--refit-every", type=int, default=None, metavar="K",
                        help="surrogate refit policy: 1 = refit on every "
                        "observation (byte-identical to the serial loop), "
                        "0 = geometric schedule (dense early, sparse late); "
                        "default: the loop's own policy")
-
-
-def _resolve_pipeline(args: argparse.Namespace) -> bool:
-    """--compile-jobs implies pipelining; --no-pipeline always wins."""
-    if args.no_pipeline:
-        return False
-    return bool(args.pipeline or args.compile_jobs is not None)
 
 
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:

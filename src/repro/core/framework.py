@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from repro.common.errors import TuningError
 from repro.configspace import ConfigurationSpace
 from repro.kernels.registry import KernelBenchmark
+from repro.pipeline.config import PipelineConfig
 from repro.runtime.measure import Evaluator, LocalEvaluator, ScheduleBuilder
 from repro.swing import SwingEvaluator
 from repro.ytopt.acquisition import LowerConfidenceBound
 from repro.ytopt.optimizer import Optimizer
 from repro.ytopt.problem import TuningProblem
-from repro.ytopt.search import AMBS, SearchResult
+from repro.ytopt.search import AMBS, SearchResult, refit_settings
 from repro.ytopt.surrogate import RandomForestSurrogate, Surrogate
 
 
@@ -58,12 +59,10 @@ class AutotuneConfig:
     prune_threshold: float = 1.25
     prune_overhead: float = 0.02
     #: Pipelined execution (see :mod:`repro.pipeline`): overlap the surrogate
-    #: ask, a ``compile_jobs``-wide native build pool with compile-ahead
-    #: speculation, and measurement. ``refit_every`` picks the surrogate
-    #: refit policy (None = legacy serially / geometric schedule under the
-    #: pipeline; 1 = every observation, the byte-identical escape hatch).
+    #: ask, a native build pool with compile-ahead speculation, and
+    #: measurement. ``refit_every`` picks the surrogate refit policy (see
+    #: :func:`repro.ytopt.search.refit_settings`).
     pipeline: bool = False
-    compile_jobs: int | None = None
     refit_every: int | None = None
 
     def __post_init__(self) -> None:
@@ -77,38 +76,10 @@ class AutotuneConfig:
             raise TuningError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.jobs is not None and self.jobs < 1:
             raise TuningError(f"jobs must be >= 1, got {self.jobs}")
-        if self.compile_jobs is not None and self.compile_jobs < 1:
-            raise TuningError(
-                f"compile_jobs must be >= 1, got {self.compile_jobs}"
-            )
         if self.refit_every is not None and self.refit_every < 0:
             raise TuningError(
                 f"refit_every must be >= 0, got {self.refit_every}"
             )
-
-    def pipeline_config(self):
-        """The :class:`repro.pipeline.PipelineConfig` these knobs select, or
-        None for the serial loop."""
-        if not self.pipeline:
-            return None
-        from repro.pipeline.config import PipelineConfig
-
-        return PipelineConfig(
-            compile_jobs=self.compile_jobs, refit_every=self.refit_every
-        )
-
-    def refit_settings(self):
-        """``(refit_interval, refit_schedule)`` for the Optimizer."""
-        from repro.pipeline.config import PipelineConfig
-
-        cfg = self.pipeline_config()
-        if cfg is not None:
-            return cfg.refit_settings()
-        if self.refit_every is not None:
-            return PipelineConfig(
-                enabled=False, refit_every=self.refit_every
-            ).refit_settings()
-        return 1, None
 
 
 class BayesianAutotuner:
@@ -135,6 +106,7 @@ class BayesianAutotuner:
     ) -> None:
         self.config = config if config is not None else AutotuneConfig()
         self.problem = TuningProblem(space, evaluator, name=name)
+        pipeline = PipelineConfig() if self.config.pipeline else None
         if optimizer is not None:
             if surrogate is not None or transfer_seed is not None:
                 raise TuningError(
@@ -144,7 +116,9 @@ class BayesianAutotuner:
                 )
             self.optimizer = optimizer
         else:
-            refit_interval, refit_schedule = self.config.refit_settings()
+            refit_interval, refit_schedule = refit_settings(
+                self.config.refit_every, pipeline
+            )
             self.optimizer = Optimizer(
                 space,
                 surrogate=(
@@ -174,7 +148,7 @@ class BayesianAutotuner:
             prune_threshold=self.config.prune_threshold,
             prune_overhead=self.config.prune_overhead,
             warm_start=warm_db,
-            pipeline=self.config.pipeline_config(),
+            pipeline=pipeline,
         )
 
     # -- constructors -----------------------------------------------------

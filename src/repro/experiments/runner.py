@@ -76,7 +76,6 @@ def run_tuner(
     label: "str | None" = None,
     backend: "str | None" = None,
     pipeline: bool = False,
-    compile_jobs: "int | None" = None,
     refit_every: "int | None" = None,
 ) -> TunerRun:
     """Run one tuner on one benchmark under the simulated Swing backend.
@@ -107,13 +106,16 @@ def run_tuner(
     byte-identical across backend pins — the knob matters when a session is
     measured for real through :class:`~repro.runtime.measure.LocalEvaluator`.
 
-    ``pipeline`` routes the run through the pipelined execution engine
-    (:mod:`repro.pipeline`): a ``compile_jobs``-wide compile-ahead build pool
-    overlapped with the surrogate ask and measurement, with ``refit_every``
-    selecting the surrogate refit policy (None/0 = geometric schedule, 1 =
-    refit every observation — the byte-identical escape hatch). Under Swing
-    simulation pipelining is a structural no-op on the trajectory; it pays
-    off on real native-tier measurement.
+    ``pipeline`` runs the search loop pipelined (:mod:`repro.pipeline`):
+    a compile-ahead build pool overlapped with the surrogate ask and
+    measurement. Under Swing simulation no kernel is built, so the pool
+    never starts, but the default surrogate refit policy still differs
+    between the modes: every observation serially, the geometric schedule
+    when pipelined. The two trajectories are therefore identical only at
+    ``refit_every=1``; at the default, lu/large with seed 0 and 60
+    evaluations proposes a different configuration at 26 of 60 positions.
+    ``refit_every`` selects the policy (None = the mode's default, 0 =
+    geometric, 1 = every observation, k = every k observations).
 
     This is the single-run front door for in-process callers; it builds a
     one-shot :class:`~repro.service.session.TuningSession` reporting to the
@@ -140,7 +142,6 @@ def run_tuner(
             label=label,
             backend=backend,
             pipeline=pipeline,
-            compile_jobs=compile_jobs,
             refit_every=refit_every,
         ),
         benchmark=benchmark,

@@ -7,7 +7,7 @@ lowered-PrimFunc BuildCache), which is where the later measurement finds
 them. Workers run with telemetry pinned off — the event bus and its sinks
 are not thread-safe — and the pool aggregates its own counters instead:
 occupancy high-water mark, busy-seconds, speculation hits/misses, and the
-seconds the engine spent blocked on an unfinished build.
+seconds the tuning loop spent blocked on an unfinished build.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class BuildPool:
         #: across threads, so it can exceed wall time — that excess *is* the
         #: parallelism win).
         self.busy_seconds = 0.0
-        #: Seconds the engine blocked in :meth:`wait` on unfinished builds —
+        #: Seconds the loop blocked in :meth:`wait` on unfinished builds —
         #: the critical-path compile stall that survived pipelining.
         self.wait_seconds = 0.0
         self.occupancy_peak = 0
@@ -108,7 +108,7 @@ class BuildPool:
                 if not ok:
                     self.failures += 1
 
-    # -- engine-facing API (engine thread + the speculation side thread) -----
+    # -- loop-facing API (loop thread + the speculation side thread) ---------
 
     def submit(self, config: Any, speculative: bool = False) -> bool:
         """Queue one ahead-of-time build; returns True if newly queued.
@@ -150,6 +150,8 @@ class BuildPool:
         """Forget pending builds for configs that will never be measured
         (pruned trials, end of run). The build may still finish in the
         background; its artifact stays harmlessly in the content cache."""
+        if not self.enabled:
+            return
         for config in configs:
             with self._lock:
                 self._futures.pop(config_key(config), None)
@@ -182,24 +184,22 @@ class BuildPool:
         scored = self.spec_hits + self.spec_misses
         return self.spec_hits / scored if scored else 0.0
 
-    def stats(self) -> dict[str, float]:
+    def stats(self) -> dict[str, int | float]:
+        """The pool's counters, keyed like
+        :class:`~repro.telemetry.events.PipelineStats` fields."""
         with self._lock:
             return {
-                "jobs": float(self.jobs),
-                "submitted": float(self.submitted),
-                "completed": float(self.completed),
-                "failures": float(self.failures),
-                "speculative": float(self.speculative),
-                "spec_hits": float(self.spec_hits),
-                "spec_misses": float(self.spec_misses),
-                "hit_rate": (
-                    self.spec_hits / (self.spec_hits + self.spec_misses)
-                    if (self.spec_hits + self.spec_misses)
-                    else 0.0
-                ),
+                "jobs": self.jobs,
+                "submitted": self.submitted,
+                "completed": self.completed,
+                "failures": self.failures,
+                "speculative": self.speculative,
+                "spec_hits": self.spec_hits,
+                "spec_misses": self.spec_misses,
+                "hit_rate": self.hit_rate,
                 "busy_seconds": self.busy_seconds,
                 "wait_seconds": self.wait_seconds,
-                "occupancy_peak": float(self.occupancy_peak),
+                "occupancy_peak": self.occupancy_peak,
             }
 
     def close(self) -> None:

@@ -1,4 +1,4 @@
-"""Knobs of the pipelined tuning loop (see :mod:`repro.pipeline`)."""
+"""Knobs of a pipelined tuning run (see :mod:`repro.pipeline`)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass
 
 from repro.common.errors import TuningError
-from repro.ytopt.optimizer import RefitSchedule
 
 
 def default_compile_jobs() -> int:
@@ -16,23 +15,20 @@ def default_compile_jobs() -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Configuration of the pipelined execution engine.
+    """Configuration of a pipelined :meth:`repro.ytopt.AMBS.run`.
 
-    ``refit_every`` selects the surrogate refit policy: ``None`` defaults to
-    the geometric schedule (``0``) under the pipeline; ``0`` refits densely
-    until ``dense_until`` observations and then only on ``growth``× corpus
-    growth; ``1`` refits every observation — the escape hatch that keeps
-    pipelined trajectories byte-identical to serial runs; ``k > 1`` refits
-    every ``k`` observations.
+    ``dense_until`` and ``growth`` shape the geometric surrogate refit
+    schedule a pipelined run follows by default: refit densely until
+    ``dense_until`` observations, then only on ``growth``× corpus growth.
+    ``AMBS(refit_every=1)`` refits every observation instead, which keeps a
+    pipelined trajectory byte-identical to the serial one.
     """
 
-    enabled: bool = True
     #: Build-pool width; None picks :func:`default_compile_jobs`.
     compile_jobs: int | None = None
     #: Compile-ahead: speculatively ask for and pre-build wave k+1 while
     #: wave k measures. Spec-misses are discarded without a ``tell``.
     speculate: bool = True
-    refit_every: int | None = None
     dense_until: int = 32
     growth: float = 1.5
 
@@ -41,10 +37,6 @@ class PipelineConfig:
             raise TuningError(
                 f"compile_jobs must be >= 1, got {self.compile_jobs}"
             )
-        if self.refit_every is not None and self.refit_every < 0:
-            raise TuningError(
-                f"refit_every must be >= 0, got {self.refit_every}"
-            )
 
     def resolved_jobs(self) -> int:
         return (
@@ -52,13 +44,3 @@ class PipelineConfig:
             if self.compile_jobs is not None
             else default_compile_jobs()
         )
-
-    def resolved_refit_every(self) -> int:
-        return 0 if self.refit_every is None else self.refit_every
-
-    def refit_settings(self) -> "tuple[int, RefitSchedule | None]":
-        """``(refit_interval, refit_schedule)`` for the Optimizer."""
-        every = self.resolved_refit_every()
-        if every == 0:
-            return 1, RefitSchedule(self.dense_until, self.growth)
-        return every, None

@@ -171,7 +171,7 @@ class LocalEvaluator(Evaluator):
         The built module waits for the next :meth:`evaluate` of the same
         configuration, and every content-addressed build cache is warmed on
         the way down (for the native tier, the on-disk ``.so`` store and the
-        process-wide entry cache). Safe to call from the pipelined engine's
+        process-wide entry cache). Safe to call from a pipelined run's
         build-pool threads: the handoff and the caches are lock-protected
         and ``.so`` publication is atomic. Returns True when the build
         succeeded; a failing build returns False and is otherwise swallowed

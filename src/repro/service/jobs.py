@@ -78,12 +78,11 @@ class JobSpec:
     #: executable modules.
     backend: str | None = None
     #: Pipelined execution (see :mod:`repro.pipeline`): overlap the surrogate
-    #: ask, a ``compile_jobs``-wide compile-ahead build pool, and
-    #: measurement. ``refit_every`` selects the surrogate refit policy
-    #: (None = loop default — geometric under the pipeline; 1 = every
-    #: observation, the byte-identical escape hatch; 0 = geometric).
+    #: ask, a compile-ahead build pool, and measurement. ``refit_every``
+    #: selects the surrogate refit policy (None = loop default — geometric
+    #: under the pipeline; 1 = every observation, the byte-identical escape
+    #: hatch; 0 = geometric).
     pipeline: bool = False
-    compile_jobs: int | None = None
     refit_every: int | None = None
     fault: dict[str, Any] | None = None
 
@@ -133,10 +132,6 @@ class JobSpec:
             )
         if self.label is not None and not self.label.strip():
             raise JobRejected("label must be a non-empty string when given")
-        if self.compile_jobs is not None and self.compile_jobs < 1:
-            raise JobRejected(
-                f"compile_jobs must be >= 1, got {self.compile_jobs}"
-            )
         if self.refit_every is not None and self.refit_every < 0:
             raise JobRejected(
                 f"refit_every must be >= 0, got {self.refit_every}"

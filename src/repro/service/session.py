@@ -374,7 +374,6 @@ class TuningSession:
                 transfer_bias=spec.transfer_bias,
                 xgb_trial_cap=xgb_trial_cap,
                 pipeline=spec.pipeline,
-                compile_jobs=spec.compile_jobs,
                 refit_every=spec.refit_every,
             )
         )
@@ -486,9 +485,6 @@ class TuningSession:
                             if self.transfer_seed is not None
                             else None,
                             "pipeline": spec.pipeline,
-                            "compile_jobs": spec.compile_jobs
-                            if spec.pipeline
-                            else None,
                             "refit_every": spec.refit_every,
                         },
                     ),

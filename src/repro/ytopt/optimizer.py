@@ -205,7 +205,7 @@ class Optimizer:
     ) -> list[Configuration] | None:
         """Side-effect-free preview of the ask that follows ``will_tell`` tells.
 
-        The pipelined engine calls this while wave *k* is still measuring to
+        A pipelined ``AMBS.run`` calls this while wave *k* is still measuring to
         pre-compile wave *k+1*'s candidates. Returns the configuration(s) the
         real ``ask()``/``ask_batch()`` is expected to propose once the
         ``will_tell`` in-flight observations (``exclude``) land, or None when

@@ -6,20 +6,29 @@ code mold / schedule builder instantiates it (Step 2), the kernel is compiled
 (Step 3) and executed (Step 4), and the runtime lands in the performance
 database and back in the optimizer (Step 5) — until ``max_evals`` or the
 wall-clock budget is exhausted.
+
+:meth:`AMBS.run` is the one loop. A pipelined run (``pipeline=``, see
+:mod:`repro.pipeline`) overlaps Steps 1–3 on top of it: a build pool compiles
+each wave's configurations ahead of measurement, and the next wave is
+previewed and compiled ahead while the current one measures. A serial run is
+the same loop with that pool disabled.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.common.errors import TuningError
+from repro.pipeline.build_pool import BuildPool
+from repro.pipeline.config import PipelineConfig
 from repro.runtime.measure import FAILED_COST, MeasureResult
-from repro.telemetry.context import get_telemetry
-from repro.telemetry.events import TrialMeasured, TrialPruned
+from repro.telemetry.context import NULL_TELEMETRY, get_telemetry, scoped_telemetry
+from repro.telemetry.events import PipelineStats, TrialMeasured, TrialPruned
 from repro.ytopt.database import PerformanceDatabase
-from repro.ytopt.optimizer import Optimizer
+from repro.ytopt.optimizer import Optimizer, RefitSchedule
 from repro.ytopt.problem import TuningProblem
 
 
@@ -28,11 +37,13 @@ class SearchResult:
     """Outcome of a search run.
 
     ``overhead`` breaks the run's wall time into stages (the
-    ``overhead_breakdown`` report column): ``search_seconds`` — ask/refit/
-    acquisition; ``compile_seconds`` — per-trial build cost on the critical
-    path (plus, pipelined, the seconds stalled on the build pool);
-    ``measure_seconds`` — kernel execution. Pipelined runs add the build-pool
-    counters (speculation hit rate, busy/wait seconds, occupancy).
+    ``overhead_breakdown`` report column): ``mode`` ("serial" or
+    "pipelined"); ``search_seconds`` — ask/refit/acquisition;
+    ``compile_seconds`` — per-trial build cost on the critical path (plus,
+    pipelined, the seconds stalled on the build pool); ``measure_seconds`` —
+    kernel execution; ``wall_seconds``. A pipelined run adds the build-pool
+    counters (speculation hit rate, busy/wait seconds, occupancy) and the
+    surrogate refit counts; a serial run has exactly those five keys.
     """
 
     best_config: dict[str, int]
@@ -47,6 +58,28 @@ class SearchResult:
             f"SearchResult(best={self.best_runtime:.4g}s @ {self.best_config}, "
             f"{self.n_evals} evals, {self.total_elapsed:.4g}s process time)"
         )
+
+
+def refit_settings(
+    refit_every: int | None, pipeline: PipelineConfig | None
+) -> tuple[int, RefitSchedule | None]:
+    """``(refit_interval, refit_schedule)`` for the default Optimizer.
+
+    ``refit_every=None`` refits every observation in a serial run and uses
+    the geometric schedule in a pipelined one; ``0`` forces the geometric
+    schedule (``dense_until``/``growth`` from ``pipeline``, or
+    :class:`~repro.ytopt.optimizer.RefitSchedule`'s defaults); ``1`` refits
+    every observation; ``k > 1`` every ``k`` observations.
+    """
+    if refit_every is None:
+        refit_every = 1 if pipeline is None else 0
+    if refit_every < 0:
+        raise TuningError(f"refit_every must be >= 0, got {refit_every}")
+    if refit_every > 0:
+        return refit_every, None
+    if pipeline is None:
+        return 1, RefitSchedule()
+    return 1, RefitSchedule(pipeline.dense_until, pipeline.growth)
 
 
 class AMBS:
@@ -101,16 +134,15 @@ class AMBS:
         transfer_bias: float = 0.0,
         #: Pipelined execution (see :mod:`repro.pipeline`): a
         #: :class:`~repro.pipeline.PipelineConfig`, True for the defaults, or
-        #: None/False for the serial loop. The pipelined engine overlaps the
+        #: None/False for a serial run. Pipelined, the loop overlaps the
         #: surrogate ask, a parallel native build pool with compile-ahead
-        #: speculation, and measurement, telling in ask order.
+        #: speculation, and measurement, still telling in ask order.
         pipeline=None,
-        #: Surrogate refit policy for the *default* optimizer: None keeps the
-        #: legacy behavior (every observation serially; the geometric
-        #: schedule under the pipeline), ``0`` forces the geometric schedule,
-        #: ``1`` refits every observation (the byte-identical escape hatch),
-        #: ``k > 1`` every k observations. Ignored when an explicit
-        #: ``optimizer`` is passed — configure that optimizer directly.
+        #: Surrogate refit policy for the *default* optimizer (see
+        #: :func:`refit_settings`): None refits every observation serially
+        #: and follows the geometric schedule when pipelined. Ignored when an
+        #: explicit ``optimizer`` is passed — configure that optimizer
+        #: directly.
         refit_every: int | None = None,
     ) -> None:
         if max_evals < 1:
@@ -134,29 +166,12 @@ class AMBS:
                 "pass transfer_seed either to AMBS (default optimizer) or to "
                 "an explicit Optimizer, not both"
             )
-        from repro.pipeline.config import PipelineConfig  # lazy: import cycle
-
         if pipeline is True:
             pipeline = PipelineConfig()
         elif pipeline is False:
             pipeline = None
-        if pipeline is not None and refit_every is not None:
-            pipeline = PipelineConfig(
-                enabled=pipeline.enabled,
-                compile_jobs=pipeline.compile_jobs,
-                speculate=pipeline.speculate,
-                refit_every=refit_every,
-                dense_until=pipeline.dense_until,
-                growth=pipeline.growth,
-            )
-        self.pipeline = pipeline if (pipeline is not None and pipeline.enabled) else None
-        if self.pipeline is not None:
-            refit_interval, refit_schedule = self.pipeline.refit_settings()
-        elif refit_every is not None:
-            no_schedule = PipelineConfig(enabled=False, refit_every=refit_every)
-            refit_interval, refit_schedule = no_schedule.refit_settings()
-        else:
-            refit_interval, refit_schedule = 1, None
+        self.pipeline = pipeline
+        refit_interval, refit_schedule = refit_settings(refit_every, pipeline)
         self.optimizer = (
             optimizer
             if optimizer is not None
@@ -250,9 +265,9 @@ class AMBS:
     def _commit(self, config, result: MeasureResult, tel) -> None:
         """Step 5 for one observation: database, tell, incumbent, event.
 
-        Shared by the serial loop and the pipelined engine (which calls it
-        through the in-order tell queue), so both record byte-identical
-        trajectories from identical measurements."""
+        :meth:`run` calls it in ask order in either mode, so a pipelined and
+        a serial run record the same trajectory from identical measurements
+        and an identical refit policy."""
         self.database.add(result, tuner=self.tuner_name)
         cost = result.mean_cost if result.ok else FAILED_COST
         self.optimizer.tell(config, cost)
@@ -274,7 +289,7 @@ class AMBS:
             )
 
     def measure(self, to_measure: list) -> list[MeasureResult]:
-        """Steps 2–4 for one wave (shared with the pipelined engine)."""
+        """Steps 2–4 for one wave."""
         if len(to_measure) == 1:
             return [self.problem.objective(to_measure[0])]
         if to_measure:
@@ -317,44 +332,149 @@ class AMBS:
             overhead=self._overhead_breakdown(wall_total, **extra),
         )
 
+    def _build_pool(self, evaluator) -> BuildPool:
+        """The run's ahead-of-time build pool. A serial run gets a disabled
+        pool (every method a no-op); a pipelined one gets a live pool when
+        the evaluator can ``precompile``."""
+        if self.pipeline is None:
+            return BuildPool(None, 1)
+        precompile = getattr(evaluator, "precompile", None)
+        return BuildPool(
+            precompile if callable(precompile) else None,
+            self.pipeline.resolved_jobs(),
+            forget=getattr(evaluator, "discard_precompiled", None),
+        )
+
     def run(self) -> SearchResult:
-        """Execute the search; returns the best configuration found."""
+        """Execute the search; returns the best configuration found.
+
+        A pipelined run adds two overlaps to each wave, both of which
+        degenerate to nothing in a serial run's disabled build pool:
+
+        1. **Parallel wave builds.** Every configuration headed for
+           measurement is submitted to the pool before the loop blocks on it
+           (a ``pipeline_wait`` span), so a constant-liar wave compiles
+           ``compile_jobs`` wide.
+        2. **Compile-ahead speculation.** While wave *k* builds and measures,
+           the optimizer's side-effect-free ``speculate`` previews wave *k+1*
+           (on a side thread under a real clock, inline under a virtual one)
+           and its builds start in the background. When the landed wave
+           provably cannot have changed the proposal, ``confirm_speculation``
+           adopts the preview as the real ask. A miss is discarded without a
+           ``tell``.
+
+        Observations commit strictly in ask order in both modes, so at
+        ``refit_every=1`` a pipelined run's store is byte-identical to the
+        serial run's. A pipelined run ends with one
+        :class:`~repro.telemetry.events.PipelineStats` event.
+        """
         self._search_wall = 0.0
         self._measure_wall = 0.0
         self._compile_sum = 0.0
-        if self.pipeline is not None:
-            from repro.pipeline.engine import run_pipelined  # lazy: import cycle
-
-            return run_pipelined(self, self.pipeline)
         tel = get_telemetry()
         evaluator = self.problem.evaluator
         clock = getattr(evaluator, "clock", None)
+        pool = self._build_pool(evaluator)
+        # Optimizers without a speculation protocol (e.g. TPE) still pipeline
+        # their wave builds; they just never compile ahead.
+        can_speculate = (
+            pool.enabled
+            and self.pipeline.speculate
+            and callable(getattr(self.optimizer, "speculate", None))
+        )
+        # Simulated time cannot overlap, so under a virtual clock the
+        # speculation runs inline instead of on the side thread.
+        spec_thread = (
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-spec")
+            if clock is None and can_speculate
+            else None
+        )
+        speculated = None
         remaining = max(0, self.max_evals - self._preloaded)
         t_start = time.perf_counter()
-        while remaining > 0:
-            if self.max_time is not None and evaluator.elapsed() >= self.max_time:
-                break
-            n = min(self.batch_size, remaining)
-            t0 = self._stamp(clock)
-            with tel.span("acquisition", clock=clock):
-                configs = (
-                    [self.optimizer.ask()] if n == 1 else self.optimizer.ask_batch(n)
-                )  # Step 1
-                if clock is not None:
-                    clock.advance(self.optimizer_overhead)
-            self._search_wall += self._stamp(clock) - t0
-            results: list[MeasureResult | None] = [
-                self._try_prune(c, evaluator, clock) for c in configs
-            ]
-            to_measure = [c for c, r in zip(configs, results) if r is None]
-            t0 = self._stamp(clock)
-            with tel.span("measure", clock=clock):
-                measured = self.measure(to_measure)  # Steps 2-4
-            self._measure_wall += self._stamp(clock) - t0
-            it = iter(measured)
-            results = [r if r is not None else next(it) for r in results]
-            for config, result in zip(configs, results):
-                self._commit(config, result, tel)  # Step 5
-            remaining -= len(configs)
+        try:
+            while remaining > 0:
+                if self.max_time is not None and evaluator.elapsed() >= self.max_time:
+                    break
+                n = min(self.batch_size, remaining)
+                t0 = self._stamp(clock)
+                with tel.span("acquisition", clock=clock):
+                    configs = None
+                    if speculated is not None:
+                        confirm = getattr(self.optimizer, "confirm_speculation", None)
+                        if callable(confirm):
+                            configs = confirm(n)
+                    if configs is None:
+                        configs = (
+                            [self.optimizer.ask()] if n == 1 else self.optimizer.ask_batch(n)
+                        )  # Step 1
+                    if clock is not None:
+                        clock.advance(self.optimizer_overhead)
+                if speculated is not None:
+                    pool.score_speculation(speculated, configs)
+                    speculated = None
+                self._search_wall += self._stamp(clock) - t0
+                results: list[MeasureResult | None] = [
+                    self._try_prune(c, evaluator, clock) for c in configs
+                ]
+                to_measure = [c for c, r in zip(configs, results) if r is None]
+                for config in to_measure:
+                    pool.submit(config)
+                pool.discard(c for c, r in zip(configs, results) if r is not None)
+                spec_job = None
+                next_n = min(self.batch_size, remaining - len(configs))
+                if can_speculate and next_n > 0:
 
-        return self._finish(time.perf_counter() - t_start)
+                    def _speculate(width=next_n, wave=tuple(configs)):
+                        # The side thread must not reach the process-global
+                        # telemetry bus (its sinks are not thread-safe).
+                        with scoped_telemetry(NULL_TELEMETRY):
+                            picks = self.optimizer.speculate(
+                                width, will_tell=len(wave), exclude=wave
+                            )
+                        for config in picks or ():
+                            pool.submit(config, speculative=True)
+                        return picks
+
+                    if spec_thread is not None:
+                        spec_job = spec_thread.submit(_speculate)
+                    else:
+                        speculated = _speculate() or None
+                if to_measure and pool.enabled:
+                    with tel.span("pipeline_wait"):
+                        pool.wait(to_measure)
+                t0 = self._stamp(clock)
+                with tel.span("measure", clock=clock):
+                    measured = self.measure(to_measure)  # Steps 2-4
+                self._measure_wall += self._stamp(clock) - t0
+                if spec_job is not None:
+                    # Join before any tell: the optimizer is single-threaded
+                    # and the speculation must restore its snapshots before
+                    # real state advances.
+                    speculated = spec_job.result() or None
+                it = iter(measured)
+                results = [r if r is not None else next(it) for r in results]
+                for config, result in zip(configs, results):
+                    self._commit(config, result, tel)  # Step 5
+                remaining -= len(configs)
+        finally:
+            if spec_thread is not None:
+                spec_thread.shutdown(wait=True)
+            pool.close()
+        if self.pipeline is None:
+            return self._finish(time.perf_counter() - t_start)
+        stats = pool.stats()
+        refits = getattr(self.optimizer, "n_refits", 0)
+        refits_skipped = getattr(self.optimizer, "n_refits_skipped", 0)
+        if tel.enabled:
+            tel.emit(PipelineStats(**stats, refits=refits, refits_skipped=refits_skipped))
+        return self._finish(
+            time.perf_counter() - t_start,
+            compile_stall=stats["wait_seconds"],
+            compile_jobs=float(stats["jobs"]),
+            spec_hit_rate=stats["hit_rate"],
+            pool_busy_seconds=stats["busy_seconds"],
+            pool_occupancy_peak=float(stats["occupancy_peak"]),
+            refits=float(refits),
+            refits_skipped=float(refits_skipped),
+        )

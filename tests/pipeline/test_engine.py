@@ -1,7 +1,7 @@
-"""run_pipelined end-to-end on a real-clock evaluator with compile-ahead.
+"""A pipelined ``AMBS.run`` end to end on a real-clock evaluator.
 
 Uses a fake native-style evaluator (deterministic costs, a recording
-``precompile``) so the full engine path runs — build pool, side-thread
+``precompile``) so the full pipelined path runs — build pool, side-thread
 speculation, confirm fast path, ordered commits — without a C toolchain.
 """
 
