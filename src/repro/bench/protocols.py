@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.configspace import ConfigurationSpace
 from repro.runtime.measure import Evaluator
 from repro.swing.profile import KernelProfile
+
+if TYPE_CHECKING:
+    from repro.service.jobs import JobSpec
 
 
 @runtime_checkable
@@ -76,31 +79,19 @@ class TuneOutcome:
 
 @dataclass
 class TunerContext:
-    """Everything a tuner factory may bind: the benchmark, its engine, knobs.
+    """Everything a tuner factory may bind: the benchmark, its engine, the run.
 
-    Mirrors the ``repro tune`` / service ``JobSpec`` knobs so any registered
-    tuner runs end-to-end with telemetry, multi-fidelity, warm start, and
-    transfer untouched. Factories ignore the knobs their family does not
-    support (e.g. AutoTVM tuners ignore ``transfer_seed``).
+    ``spec`` is the run's :class:`~repro.service.jobs.JobSpec` (seed, budget,
+    jobs, pruning, pipelining, ...); the other fields are what the session
+    builds from it. Factories ignore what their family does not support
+    (e.g. AutoTVM tuners ignore ``transfer_seed``).
     """
 
     benchmark: Benchmark
     evaluator: Evaluator
-    seed: int = 0
-    max_evals: int = 100
-    jobs: int = 1
-    repeats: int = 1
-    prune: bool = False
-    prune_threshold: float = 1.25
-    #: Pipelined execution (see :mod:`repro.pipeline`): overlap the surrogate
-    #: ask, a build pool with compile-ahead, and measurement. ``refit_every``
-    #: selects the surrogate refit policy (None = loop default; 0 = geometric
-    #: schedule; 1 = every observation).
-    pipeline: bool = False
-    refit_every: "int | None" = None
+    spec: JobSpec
     warm_start: Any = None
     transfer_seed: Any = None
-    transfer_bias: float = 0.0
     xgb_trial_cap: "int | None" = None
 
 

@@ -94,28 +94,29 @@ class BoundAutoTVM:
 
 
 def _bo_config(ctx: TunerContext) -> AutotuneConfig:
+    spec = ctx.spec
     return AutotuneConfig(
-        max_evals=ctx.max_evals,
-        seed=ctx.seed,
-        batch_size=ctx.jobs,
-        jobs=ctx.jobs,
-        prune=ctx.prune,
-        prune_threshold=ctx.prune_threshold,
-        pipeline=ctx.pipeline,
-        refit_every=ctx.refit_every,
+        max_evals=spec.max_evals,
+        seed=spec.seed,
+        batch_size=spec.jobs,
+        jobs=spec.jobs,
+        prune=spec.prune,
+        prune_threshold=spec.prune_threshold,
+        pipeline=spec.pipeline,
+        refit_every=spec.refit_every,
     )
 
 
 def _make_ytopt(ctx: TunerContext) -> BoundBO:
     return BoundBO(
         BayesianAutotuner(
-            ctx.benchmark.config_space(seed=ctx.seed),
+            ctx.benchmark.config_space(seed=ctx.spec.seed),
             ctx.evaluator,
             config=_bo_config(ctx),
             name=ctx.benchmark.name,
             warm_start=ctx.warm_start,
             transfer_seed=ctx.transfer_seed,
-            transfer_bias=ctx.transfer_bias,
+            transfer_bias=ctx.spec.transfer_bias,
         )
     )
 
@@ -123,10 +124,10 @@ def _make_ytopt(ctx: TunerContext) -> BoundBO:
 def _make_ytopt_gp(ctx: TunerContext) -> BoundBO:
     return BoundBO(
         BayesianAutotuner(
-            ctx.benchmark.config_space(seed=ctx.seed),
+            ctx.benchmark.config_space(seed=ctx.spec.seed),
             ctx.evaluator,
             config=_bo_config(ctx),
-            surrogate=GaussianProcessSurrogate(seed=ctx.seed),
+            surrogate=GaussianProcessSurrogate(seed=ctx.spec.seed),
             name=ctx.benchmark.name,
             warm_start=ctx.warm_start,
         )
@@ -134,7 +135,7 @@ def _make_ytopt_gp(ctx: TunerContext) -> BoundBO:
 
 
 def _make_ytopt_tpe(ctx: TunerContext) -> BoundBO:
-    space = ctx.benchmark.config_space(seed=ctx.seed)
+    space = ctx.benchmark.config_space(seed=ctx.spec.seed)
     cfg = _bo_config(ctx)
     return BoundBO(
         BayesianAutotuner(
@@ -144,7 +145,7 @@ def _make_ytopt_tpe(ctx: TunerContext) -> BoundBO:
             name=ctx.benchmark.name,
             warm_start=ctx.warm_start,
             optimizer=TPEOptimizer(
-                space, n_initial_points=cfg.n_initial_points, seed=ctx.seed
+                space, n_initial_points=cfg.n_initial_points, seed=cfg.seed
             ),
         )
     )
@@ -154,15 +155,16 @@ def _make_autotvm(name: str):
     cls = _AUTOTVM_CLASSES[name]
 
     def factory(ctx: TunerContext) -> BoundAutoTVM:
+        spec = ctx.spec
         task = task_from_benchmark(ctx.benchmark, ctx.evaluator)
         if cls is XGBTuner:
-            tuner = XGBTuner(task, trial_cap=ctx.xgb_trial_cap, seed=ctx.seed)
+            tuner = XGBTuner(task, trial_cap=ctx.xgb_trial_cap, seed=spec.seed)
         else:
-            tuner = cls(task, seed=ctx.seed)
+            tuner = cls(task, seed=spec.seed)
         measurer = Measurer(
-            ctx.evaluator, measure_option(jobs=ctx.jobs, repeat=ctx.repeats)
+            ctx.evaluator, measure_option(jobs=spec.jobs, repeat=spec.repeats)
         )
-        return BoundAutoTVM(tuner, measurer, ctx.max_evals)
+        return BoundAutoTVM(tuner, measurer, spec.max_evals)
 
     return factory
 

@@ -153,31 +153,32 @@ def _run_payload(run) -> dict:
     return run.to_payload()
 
 
+def _spec_options(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.service.jobs.JobSpec` fields this command line
+    sets, by name: ``tune``, ``experiment`` and ``submit`` build their run
+    from it, so a flag reaches every path by existing once in ``JobSpec``."""
+    from dataclasses import fields
+
+    from repro.service.jobs import JobSpec
+
+    return {
+        f.name: getattr(args, f.name)
+        for f in fields(JobSpec)
+        if hasattr(args, f.name)
+    }
+
+
 def _cmd_tune(args: argparse.Namespace) -> int:
-    benchmark = get_benchmark(args.kernel, args.size)
+    options = _spec_options(args)
+    benchmark = get_benchmark(options.pop("kernel"), options.pop("size"))
     console = _console_from_args(args)
     telemetry = _telemetry_from_args(args, console)
     with telemetry_session(telemetry) as tel:
         run = run_tuner(
             benchmark,
-            args.tuner,
-            max_evals=args.max_evals,
-            seed=args.seed,
+            options.pop("tuner"),
             xgb_trial_cap=None if args.no_xgb_cap else 56,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            repeats=args.repeats,
-            probe_repeats=args.probe_repeats,
-            promote_margin=args.promote_margin,
-            prune=args.prune,
-            prune_threshold=args.prune_threshold,
-            warm_start_db=args.warm_start_db,
-            transfer_db=args.transfer_db,
-            transfer_bias=args.transfer_bias,
-            label=args.label,
-            backend=args.backend,
-            pipeline=args.pipeline,
-            refit_every=args.refit_every,
+            **options,
         )
         console.info(
             f"{run.tuner} on {benchmark.name}: best {run.best_runtime:.4g}s at "
@@ -226,23 +227,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     console = _console_from_args(args)
     telemetry = _telemetry_from_args(args, console)
     with telemetry_session(telemetry) as tel:
-        result = run_experiment(
-            kernel,
-            size,
-            tuners=tuners,
-            max_evals=args.evals,
-            seed=args.seed,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            repeats=args.repeats,
-            probe_repeats=args.probe_repeats,
-            promote_margin=args.promote_margin,
-            prune=args.prune,
-            prune_threshold=args.prune_threshold,
-            warm_start_db=args.warm_start_db,
-            transfer_db=args.transfer_db,
-            transfer_bias=args.transfer_bias,
-        )
+        result = run_experiment(kernel, size, tuners=tuners, **_spec_options(args))
         console.info(f"{figures} — {kernel}/{size}")
         console.info(process_summary_table(result))
         console.info("")
@@ -426,27 +411,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit one job; exits non-zero if the server rejects it."""
     from repro.service import JobRejected
 
-    spec = {
-        "kernel": args.kernel,
-        "size": args.size,
-        "tuner": args.tuner,
-        "max_evals": args.max_evals,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "timeout": args.timeout,
-        "repeats": args.repeats,
-        "probe_repeats": args.probe_repeats,
-        "promote_margin": args.promote_margin,
-        "prune": args.prune,
-        "prune_threshold": args.prune_threshold,
-        "warm_start_db": args.warm_start_db,
-        "transfer_from": args.transfer_db,
-        "transfer_bias": args.transfer_bias,
-        "label": args.label,
-        "backend": args.backend,
-        "pipeline": args.pipeline,
-        "refit_every": args.refit_every,
-    }
+    spec = _spec_options(args)
     client = _service_client(args)
     try:
         if args.wait:
@@ -546,7 +511,8 @@ def _add_fidelity_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_transfer_args(parser: argparse.ArgumentParser, with_label: bool) -> None:
     group = parser.add_argument_group("transfer learning")
-    group.add_argument("--transfer-db", default=None, metavar="PATH",
+    group.add_argument("--transfer-db", dest="transfer_from", default=None,
+                       metavar="PATH",
                        help="ytopt: seed the initial design from a "
                        "meta-surrogate fit on this run store's *other* tasks "
                        "(the target kernel/size is excluded from the fit)")
@@ -574,6 +540,24 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                        "default: the loop's own policy")
 
 
+def _add_spec_args(parser: argparse.ArgumentParser) -> None:
+    """The run flags ``tune`` and ``submit`` share."""
+    from repro.bench import benchmark_names, tuner_names
+
+    parser.add_argument("--kernel", required=True, choices=list(benchmark_names()))
+    parser.add_argument("--size", required=True,
+                        choices=["mini", "small", "medium", "large", "extralarge"])
+    parser.add_argument("--tuner", default="ytopt", choices=list(tuner_names()))
+    parser.add_argument("--max-evals", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="parallel measurement width (batched proposals, "
+                        "max-of-wave process-time accounting)")
+    parser.add_argument("--timeout", type=float, default=None, metavar="S",
+                        help="per-trial kernel wall-clock budget in seconds "
+                        "(timed-out trials are recorded as failed)")
+
+
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("telemetry")
     group.add_argument("--db", default=None, metavar="PATH",
@@ -598,11 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    from repro.bench import benchmark_names, tuner_names
-
-    bench_kernels = list(benchmark_names())
-    bench_tuners = list(tuner_names())
-
     sub.add_parser("info", help="list the paper's benchmarks, tuners, experiments")
     sub.add_parser("table1", help="regenerate Table 1")
 
@@ -613,26 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable registry dump")
 
     p_tune = sub.add_parser("tune", help="run one tuner on one benchmark")
-    p_tune.add_argument("--kernel", required=True, choices=bench_kernels)
-    p_tune.add_argument("--size", required=True,
-                        choices=["mini", "small", "medium", "large", "extralarge"])
-    p_tune.add_argument("--tuner", default="ytopt", choices=bench_tuners)
-    p_tune.add_argument("--max-evals", type=int, default=100)
-    p_tune.add_argument("--seed", type=int, default=0)
+    _add_spec_args(p_tune)
     p_tune.add_argument("--csv", help="write the evaluation trajectory here")
     p_tune.add_argument("--no-xgb-cap", action="store_true",
                         help="lift the paper's 56-evaluation XGB stall")
-    p_tune.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel measurement width (batched proposals, "
-                        "max-of-wave process-time accounting)")
-    p_tune.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-trial kernel wall-clock budget in seconds "
-                        "(timed-out trials are recorded as failed)")
-    p_tune.add_argument("--backend", default=None,
-                        choices=["native", "tensor", "codegen", "interp"],
-                        help="pin the execution tier for measurement builds "
-                        "(native = compiled C; lower tiers still apply as "
-                        "fallback; no effect under Swing simulation)")
     _add_pipeline_args(p_tune)
     _add_fidelity_args(p_tune)
     _add_transfer_args(p_tune, with_label=True)
@@ -644,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--tuners", default=None, metavar="T1,T2,...",
                        help="comma-separated tuner subset (default: the paper's "
                        "five; any registered tuner accepted)")
-    p_exp.add_argument("--evals", type=int, default=100)
+    p_exp.add_argument("--evals", dest="max_evals", type=int, default=100)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--csv", help="write all trajectories here")
     p_exp.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -749,20 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub = sub.add_parser("submit", help="submit one tuning job to a server")
     p_sub.add_argument("--root", default="results/service",
                        help="server root (reads <root>/server.json)")
-    p_sub.add_argument("--kernel", required=True, choices=bench_kernels)
-    p_sub.add_argument("--size", required=True,
-                       choices=["mini", "small", "medium", "large", "extralarge"])
-    p_sub.add_argument("--tuner", default="ytopt", choices=bench_tuners)
-    p_sub.add_argument("--max-evals", type=int, default=100)
-    p_sub.add_argument("--seed", type=int, default=0)
-    p_sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallel measurement width inside the session")
-    p_sub.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-trial kernel wall-clock budget in seconds")
-    p_sub.add_argument("--backend", default=None,
-                       choices=["native", "tensor", "codegen", "interp"],
-                       help="pin the execution tier for measurement builds "
-                       "(validated at admission against the backend ladder)")
+    _add_spec_args(p_sub)
     p_sub.add_argument("--wait", action="store_true",
                        help="block until the job finishes; exit 0 only if it "
                        "completed successfully")

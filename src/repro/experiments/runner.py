@@ -14,29 +14,25 @@ semantics follow each system's defaults:
 
 The per-run machinery — evaluator construction, tuner dispatch, telemetry
 bracketing — lives in :class:`repro.service.session.TuningSession`; this
-module is the thin experiment driver over it. ``TunerRun``, ``ALL_TUNERS``
-and ``make_evaluator`` are re-exported here for backward compatibility.
+module is the thin experiment driver over it. ``TunerRun`` and
+``ALL_TUNERS`` are re-exported here for backward compatibility.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.autotvm import PAPER_XGB_TRIAL_CAP
 from repro.kernels.registry import KernelBenchmark, get_benchmark
 from repro.service.jobs import JobSpec
-from repro.bench.tuners import _AUTOTVM_CLASSES  # noqa: F401 - re-exported name
 from repro.service.session import (  # noqa: F401 - re-exported names
     ALL_TUNERS,
     TunerRun,
     TuningSession,
-    make_evaluator,
 )
 from repro.swing import SwingPerformanceModel
-
-#: Backward-compatible alias for the pre-service private helper name.
-_make_evaluator = make_evaluator
 
 
 @dataclass
@@ -63,92 +59,57 @@ def run_tuner(
     seed: int = 0,
     model: SwingPerformanceModel | None = None,
     xgb_trial_cap: int | None = PAPER_XGB_TRIAL_CAP,
-    jobs: int = 1,
-    timeout: float | None = None,
-    repeats: int = 1,
-    probe_repeats: int | None = None,
-    promote_margin: float = 0.15,
-    prune: bool = False,
-    prune_threshold: float = 1.25,
-    warm_start_db: "str | None" = None,
-    transfer_db: "str | None" = None,
-    transfer_bias: float = 0.5,
-    label: "str | None" = None,
-    backend: "str | None" = None,
-    pipeline: bool = False,
-    refit_every: "int | None" = None,
+    **options: Any,
 ) -> TunerRun:
     """Run one tuner on one benchmark under the simulated Swing backend.
 
-    ``jobs`` > 1 measures in parallel waves: ytopt proposes constant-liar
-    batches of ``jobs`` configurations, AutoTVM runs each 8-config batch on a
-    ``jobs``-wide fleet; under simulation the virtual clock advances by the
-    max of each wave, not the sum. ``timeout`` is the per-trial kernel budget
-    (a timed-out configuration is recorded as failed and charged the budget).
+    ``options`` are the remaining :class:`~repro.service.jobs.JobSpec`
+    fields, passed through by name (an unknown name raises ``TypeError``):
 
-    ``repeats`` sets the full per-config repeat budget; ``probe_repeats``
-    (when smaller) turns on multi-fidelity measurement — probe first, promote
-    to the full budget only if the candidate looks competitive within
-    ``promote_margin`` of the incumbent. ``prune`` enables ytopt's
-    surrogate-guided pruning, and ``warm_start_db`` points at a telemetry run
-    store whose matching prior trials pre-train the ytopt surrogate.
-
-    ``transfer_db`` points at a run store (file or service shard root) whose
-    *cross-task* corpus fits a meta-surrogate that seeds ytopt's initial
-    design and biases early acquisition by ``transfer_bias`` (see
-    :mod:`repro.transfer`); the benchmark's own (kernel, size) is excluded
-    from the fit. ``label`` overrides the identity the run is stored under,
-    so A/B variants of one tuner coexist in a single store.
-
-    ``backend`` pins the execution tier for measurement builds (recorded in
-    the job spec and validated against the backend ladder). Under Swing
-    simulation no executable module is ever built, so trajectories are
-    byte-identical across backend pins — the knob matters when a session is
-    measured for real through :class:`~repro.runtime.measure.LocalEvaluator`.
-
-    ``pipeline`` runs the search loop pipelined (:mod:`repro.pipeline`):
-    a compile-ahead build pool overlapped with the surrogate ask and
-    measurement. Under Swing simulation no kernel is built, so the pool
-    never starts, but the default surrogate refit policy still differs
-    between the modes: every observation serially, the geometric schedule
-    when pipelined. The two trajectories are therefore identical only at
-    ``refit_every=1``; at the default, lu/large with seed 0 and 60
-    evaluations proposes a different configuration at 26 of 60 positions.
-    ``refit_every`` selects the policy (None = the mode's default, 0 =
-    geometric, 1 = every observation, k = every k observations).
+    * ``jobs`` > 1 measures in parallel waves: ytopt proposes constant-liar
+      batches of ``jobs`` configurations, AutoTVM runs each 8-config batch on
+      a ``jobs``-wide fleet; the virtual clock advances by the max of each
+      wave, not the sum. ``timeout`` is the per-trial kernel budget (a
+      timed-out configuration is recorded as failed and charged the budget).
+    * ``repeats`` sets the full per-config repeat budget; ``probe_repeats``
+      (when smaller) turns on multi-fidelity measurement — probe first,
+      promote to the full budget only if the candidate looks competitive
+      within ``promote_margin`` of the incumbent. ``prune`` (with
+      ``prune_threshold``) enables ytopt's surrogate-guided pruning, and
+      ``warm_start_db`` points at a run store whose matching prior trials
+      pre-train the ytopt surrogate.
+    * ``transfer_from`` points at a run store (file or service shard root)
+      whose *cross-task* corpus fits a meta-surrogate that seeds ytopt's
+      initial design and biases early acquisition by ``transfer_bias`` (see
+      :mod:`repro.transfer`); the benchmark's own (kernel, size) is excluded
+      from the fit. ``label`` overrides the identity the run is stored
+      under, so A/B variants of one tuner coexist in a single store.
+    * ``pipeline`` runs the search loop pipelined (:mod:`repro.pipeline`).
+      Under Swing simulation no kernel is built, so the build pool never
+      starts, but the default surrogate refit policy still differs between
+      the modes: every observation serially, the geometric schedule when
+      pipelined. The two trajectories are therefore identical only at
+      ``refit_every=1``; at the default, lu/large with seed 0 and 60
+      evaluations proposes a different configuration at 26 of 60 positions.
+      ``refit_every`` selects the policy (None = the mode's default, 0 =
+      geometric, 1 = every observation, k = every k observations).
 
     This is the single-run front door for in-process callers; it builds a
     one-shot :class:`~repro.service.session.TuningSession` reporting to the
     ambient telemetry. Long-running multi-session use goes through
     :class:`repro.service.server.TuningServer` instead.
     """
-    session = TuningSession(
-        JobSpec(
-            kernel=benchmark.kernel,
-            size=benchmark.size_name,
-            tuner=tuner,
-            max_evals=max_evals,
-            seed=seed,
-            jobs=jobs,
-            timeout=timeout,
-            repeats=repeats,
-            probe_repeats=probe_repeats,
-            promote_margin=promote_margin,
-            prune=prune,
-            prune_threshold=prune_threshold,
-            warm_start_db=warm_start_db,
-            transfer_from=transfer_db,
-            transfer_bias=transfer_bias,
-            label=label,
-            backend=backend,
-            pipeline=pipeline,
-            refit_every=refit_every,
-        ),
-        benchmark=benchmark,
-        model=model,
-        xgb_trial_cap=xgb_trial_cap,
+    spec = JobSpec(
+        kernel=benchmark.kernel,
+        size=benchmark.size_name,
+        tuner=tuner,
+        max_evals=max_evals,
+        seed=seed,
+        **options,
     )
-    return session.run()
+    return TuningSession(
+        spec, benchmark=benchmark, model=model, xgb_trial_cap=xgb_trial_cap
+    ).run()
 
 
 def run_experiment(
@@ -158,23 +119,17 @@ def run_experiment(
     max_evals: int = 100,
     seed: int = 0,
     xgb_trial_cap: int | None = PAPER_XGB_TRIAL_CAP,
-    jobs: int = 1,
-    timeout: float | None = None,
-    repeats: int = 1,
-    probe_repeats: int | None = None,
-    promote_margin: float = 0.15,
-    prune: bool = False,
-    prune_threshold: float = 1.25,
-    warm_start_db: "str | None" = None,
-    transfer_db: "str | None" = None,
-    transfer_bias: float = 0.5,
+    **options: Any,
 ) -> ExperimentResult:
     """Run all requested tuners on one (kernel, size) experiment.
 
-    ``transfer_db`` applies to the ytopt tuner only (AutoTVM tuners have no
-    surrogate initial design to seed); it is silently skipped for the rest.
+    ``options`` are :class:`~repro.service.jobs.JobSpec` fields passed to
+    every :func:`run_tuner` call. ``transfer_from`` applies to the ytopt
+    tuner only (AutoTVM tuners have no surrogate initial design to seed); it
+    is silently skipped for the rest.
     """
     benchmark = get_benchmark(kernel, size_name)
+    transfer_from = options.pop("transfer_from", None)
     runs = {
         t: run_tuner(
             benchmark,
@@ -182,16 +137,8 @@ def run_experiment(
             max_evals=max_evals,
             seed=seed,
             xgb_trial_cap=xgb_trial_cap,
-            jobs=jobs,
-            timeout=timeout,
-            repeats=repeats,
-            probe_repeats=probe_repeats,
-            promote_margin=promote_margin,
-            prune=prune,
-            prune_threshold=prune_threshold,
-            warm_start_db=warm_start_db,
-            transfer_db=transfer_db if t == "ytopt" else None,
-            transfer_bias=transfer_bias,
+            transfer_from=transfer_from if t == "ytopt" else None,
+            **options,
         )
         for t in tuners
     }

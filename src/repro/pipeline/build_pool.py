@@ -186,10 +186,11 @@ class BuildPool:
 
     def stats(self) -> dict[str, int | float]:
         """The pool's counters, keyed like
-        :class:`~repro.telemetry.events.PipelineStats` fields."""
+        :class:`~repro.telemetry.events.PipelineStats` fields. ``jobs`` is
+        the build-thread width, 0 for a disabled pool that starts none."""
         with self._lock:
             return {
-                "jobs": self.jobs,
+                "jobs": self.jobs if self.enabled else 0,
                 "submitted": self.submitted,
                 "completed": self.completed,
                 "failures": self.failures,

@@ -41,7 +41,12 @@ class JobState:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One tuning-session request (mirrors ``repro tune``'s knobs).
+    """One tuning run's options: the only list of them.
+
+    ``repro tune``/``experiment``/``submit``, :func:`repro.experiments.run_tuner`
+    and the service all build their run as a ``JobSpec``; tuner factories
+    read it as ``TunerContext.spec``. A CLI or service run measures through
+    :class:`~repro.swing.SwingEvaluator`.
 
     ``fault`` is a test-only fault-injection directive (see
     :class:`repro.service.session.FaultInjector`); servers reject it unless
@@ -72,11 +77,6 @@ class JobSpec:
     #: variants of one tuner land side-by-side in a single run store without
     #: colliding on the (kernel, size, tuner, seed) identity key.
     label: str | None = None
-    #: Execution-backend tier pin for measurement builds ("native"/"tensor"/
-    #: "codegen"/"interp"); None defers to the process default. Only affects
-    #: real (llvm-target) measurement — the Swing-simulated path never builds
-    #: executable modules.
-    backend: str | None = None
     #: Pipelined execution (see :mod:`repro.pipeline`): overlap the surrogate
     #: ask, a compile-ahead build pool, and measurement. ``refit_every``
     #: selects the surrogate refit policy (None = loop default — geometric
@@ -136,14 +136,6 @@ class JobSpec:
             raise JobRejected(
                 f"refit_every must be >= 0, got {self.refit_every}"
             )
-        if self.backend is not None:
-            from repro.runtime.module import BACKEND_TIERS
-
-            if self.backend not in BACKEND_TIERS:
-                raise JobRejected(
-                    f"unknown backend {self.backend!r}; known: "
-                    f"{', '.join(BACKEND_TIERS)}"
-                )
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

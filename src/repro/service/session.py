@@ -363,18 +363,10 @@ class TuningSession:
             TunerContext(
                 benchmark=self.benchmark,
                 evaluator=self.evaluator,
-                seed=spec.seed,
-                max_evals=spec.max_evals,
-                jobs=spec.jobs,
-                repeats=spec.repeats,
-                prune=spec.prune,
-                prune_threshold=spec.prune_threshold,
+                spec=spec,
                 warm_start=self.warm_start,
                 transfer_seed=self.transfer_seed,
-                transfer_bias=spec.transfer_bias,
                 xgb_trial_cap=xgb_trial_cap,
-                pipeline=spec.pipeline,
-                refit_every=spec.refit_every,
             )
         )
         self.autotuner: BayesianAutotuner | None = self._bound.autotuner

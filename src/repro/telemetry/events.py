@@ -247,7 +247,8 @@ class RunFinished(Event):
 class PipelineStats(Event):
     """End-of-run counters of the pipelined execution engine.
 
-    ``hit_rate`` is the compile-ahead speculation hit rate (hits over scored
+    ``jobs`` is the build pool's thread width (0 when the evaluator has no
+    ``precompile``, so no build thread started); ``hit_rate`` is the compile-ahead speculation hit rate (hits over scored
     speculations); ``busy_seconds`` the build pool's worker-time integral
     (exceeding wall time is the parallelism win); ``wait_seconds`` the
     critical-path compile stall that survived pipelining; ``refits`` /

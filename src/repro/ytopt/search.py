@@ -105,10 +105,6 @@ class AMBS:
         #: the measurement fleet. Set explicitly to decouple proposal batching
         #: from worker count.
         jobs: int | None = None,
-        #: Resume a previous run: its records pre-train the optimizer and are
-        #: carried into this run's database; already-evaluated configurations
-        #: are never re-measured.
-        resume_from: PerformanceDatabase | None = None,
         #: Surrogate-guided pruning: once the surrogate is trained, skip
         #: compilation entirely for candidates whose predicted lower confidence
         #: bound exceeds ``prune_threshold`` × the incumbent runtime. Pruned
@@ -119,19 +115,13 @@ class AMBS:
         prune_threshold: float = 1.25,
         prune_overhead: float = 0.02,
         prune_z: float = 0.5,
-        #: Warm start from prior runs (see :class:`repro.ytopt.WarmStart`):
-        #: records pre-train the surrogate and land in the database, and —
-        #: unlike ``resume_from`` — count toward ``max_evals``, so a warm
-        #: start with a matching budget replays the stored result without
-        #: re-measuring anything.
+        #: Warm start or resume from prior records (a previous run's
+        #: database, or :class:`repro.ytopt.WarmStart`'s ``database``): they
+        #: pre-train the surrogate, land in the database and count toward
+        #: ``max_evals``, so a matching budget replays the stored result
+        #: without re-measuring anything, and resuming a run for ``n`` more
+        #: evaluations takes ``max_evals=len(prior) + n``.
         warm_start: PerformanceDatabase | None = None,
-        #: Transfer learning (see :class:`repro.transfer.TransferSeed`): seeds
-        #: the default optimizer's initial design with corpus-ranked
-        #: configurations and biases early acquisition. Ignored when an
-        #: explicit ``optimizer`` is passed — configure that optimizer
-        #: directly instead.
-        transfer_seed=None,
-        transfer_bias: float = 0.0,
         #: Pipelined execution (see :mod:`repro.pipeline`): a
         #: :class:`~repro.pipeline.PipelineConfig`, True for the defaults, or
         #: None/False for a serial run. Pipelined, the loop overlaps the
@@ -161,11 +151,6 @@ class AMBS:
         if prune_overhead < 0:
             raise TuningError(f"prune_overhead must be >= 0, got {prune_overhead}")
         self.problem = problem
-        if optimizer is not None and transfer_seed is not None:
-            raise TuningError(
-                "pass transfer_seed either to AMBS (default optimizer) or to "
-                "an explicit Optimizer, not both"
-            )
         if pipeline is True:
             pipeline = PipelineConfig()
         elif pipeline is False:
@@ -180,8 +165,6 @@ class AMBS:
                 seed=seed,
                 refit_interval=refit_interval,
                 refit_schedule=refit_schedule,
-                transfer_seed=transfer_seed,
-                transfer_bias=transfer_bias,
             )
         )
         self.max_evals = max_evals
@@ -202,16 +185,13 @@ class AMBS:
         self._incumbent = math.inf  # best *measured* runtime (never an estimate)
         self._preloaded = 0
         self.database = PerformanceDatabase(name=f"{problem.name}:{tuner_name}")
-        for source, counts in ((resume_from, False), (warm_start, True)):
-            if source is None:
-                continue
-            for rec in source:
+        if warm_start is not None:
+            for rec in warm_start:
                 self.optimizer.tell(rec.config, rec.runtime)
                 if rec.ok and not rec.low_fidelity:
                     self._incumbent = min(self._incumbent, rec.runtime)
-            self.database.extend(source)
-            if counts:
-                self._preloaded += len(source)
+            self.database.extend(warm_start)
+            self._preloaded = len(warm_start)
 
     def _try_prune(self, config, evaluator, clock) -> MeasureResult | None:
         """Surrogate-prune ``config`` if its predicted lower bound is hopeless.

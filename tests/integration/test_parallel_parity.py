@@ -141,10 +141,10 @@ class TestResumeCacheHits:
 
             resumed = AMBS(
                 problem,
-                max_evals=2,
+                max_evals=len(first.database) + 2,
                 seed=1,
                 batch_size=2,
-                resume_from=first.database,
+                warm_start=first.database,
             ).run()
         assert resumed.n_evals == 6  # 4 carried over + 2 new measurements
         assert cache.hits > 0

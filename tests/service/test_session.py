@@ -89,33 +89,6 @@ class TestDeterminism:
         ).run()
         assert payload_of(bare) == payload_of(instrumented)
 
-    def test_backend_pin_does_not_change_simulated_trajectory(self):
-        """Swing never builds executable modules, so seed-0 runs are
-        byte-identical under native vs tensor backend pins."""
-        native = run_tuner(get_benchmark("lu", "large"), "ytopt",
-                           max_evals=6, seed=0, backend="native")
-        tensor = run_tuner(get_benchmark("lu", "large"), "ytopt",
-                           max_evals=6, seed=0, backend="tensor")
-        unpinned = run_tuner(get_benchmark("lu", "large"), "ytopt",
-                             max_evals=6, seed=0)
-        assert payload_of(native) == payload_of(tensor) == payload_of(unpinned)
-
-
-class TestBackendAdmission:
-    def test_unknown_backend_rejected(self):
-        from repro.service import JobRejected
-
-        with pytest.raises(JobRejected, match="unknown backend"):
-            spec(backend="cuda").validate()
-
-    def test_ladder_tiers_admitted(self):
-        for tier in ("native", "tensor", "codegen", "interp"):
-            spec(backend=tier).validate()
-
-    def test_backend_round_trips_through_wire_json(self):
-        s = spec(backend="native")
-        assert JobSpec.from_dict(s.to_dict()).backend == "native"
-
 
 class TestShard:
     def test_run_lands_in_shard(self, tmp_path):

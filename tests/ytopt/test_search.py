@@ -142,6 +142,22 @@ class TestSerialRunHasNoPipeline:
         assert "pipeline_wait" in spans
         assert result.overhead["mode"] == "pipelined"
         assert {"spec_hit_rate", "pool_busy_seconds"} <= set(result.overhead)
+        assert result.overhead["compile_jobs"] == 2.0
+
+
+class TestPipelinedRunWithoutPrecompile:
+    def test_pool_width_reads_zero(self):
+        """Swing has no ``precompile``, so a pipelined run starts no build
+        thread; the event and the overhead report a width of 0."""
+        from repro.experiments import run_tuner
+
+        sink = RecordingSink()
+        with telemetry_session(Telemetry(sinks=[sink])):
+            run = run_tuner(get_benchmark("lu", "mini"), "ytopt", 12, pipeline=True)
+        stats = [e for e in sink.events if isinstance(e, PipelineStats)]
+        assert [e.jobs for e in stats] == [0]
+        assert run.overhead["compile_jobs"] == 0.0
+        assert run.overhead["pool_busy_seconds"] == 0.0
 
 
 class TestRefitSettings:
